@@ -2555,11 +2555,9 @@ class QueryRuntime:
 
     def current_matches(self) -> set[Match]:
         """Bootstrap matches plus live births minus observed deaths."""
-        base = set(self.initial_matches or ())
-        if self.collector is not None:
-            base |= self.collector.live_matches()
-            base -= self.collector.dead_matches()
-        return base
+        if self.collector is None:
+            return set(self.initial_matches or ())
+        return self.collector.apply_to(self.initial_matches)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.errors import MatchingError
 from repro.matching.wbm import BatchResult, Match
 
 
 class MatchCollector:
-    """Accumulates signed incremental matches into a live match view."""
+    """Accumulates signed incremental matches into a live match view.
+
+    Only matches with a nonzero net count are held: +1 for a match born
+    since the initial state and still alive, −1 for an initial-state
+    match that has since died. A match whose count returns to 0 is
+    evicted, so the collector holds exactly |live| + |dead| entries
+    however long the stream runs, and each batch costs only the matches
+    it touched.
+    """
 
     def __init__(self) -> None:
         self._net: Counter = Counter()
@@ -40,12 +49,14 @@ class MatchCollector:
         # a match may be born (+1), unchanged (0), or — when it existed
         # in the initial graph — die (−1); anything else means an engine
         # reported the same birth/death twice
-        bad = [m for m, c in self._net.items() if c not in (-1, 0, 1)]
-        if bad:
-            raise MatchingError(
-                f"inconsistent incremental stream: match {bad[0]} has net count "
-                f"{self._net[bad[0]]}"
-            )
+        for m in chain(result.positives, result.negatives):
+            count = self._net[m]  # 0 once evicted: a Counter read inserts nothing
+            if count == 0:
+                self._net.pop(m, None)
+            elif count not in (-1, 1):
+                raise MatchingError(
+                    f"inconsistent incremental stream: match {m} has net count {count}"
+                )
 
     def live_matches(self) -> set[Match]:
         """Matches born since the initial state and still alive."""
@@ -55,8 +66,17 @@ class MatchCollector:
         """Initial-state matches that have since been destroyed."""
         return {m for m, c in self._net.items() if c == -1}
 
+    def apply_to(self, initial: set[Match] | None) -> set[Match]:
+        """``initial`` advanced by every consumed birth and death."""
+        return (set(initial or ()) | self.live_matches()) - self.dead_matches()
+
     def net_change(self) -> int:
         return sum(self._net.values())
+
+    @property
+    def n_entries(self) -> int:
+        """Matches held: exactly |live| + |dead|."""
+        return len(self._net)
 
 
 @dataclass

@@ -1,15 +1,16 @@
 """Multi-query serving layer: shared store + per-query runtimes.
 
 ``DynamicGraphStore`` owns the one data graph / GPMA / encoding table
-every registered query shares; ``MatchingService`` fans update batches
-out across per-query :class:`~repro.matching.wbm.QueryRuntime`\\ s and
-prices the result for the asynchronous pipeline model. The serving
-path is fault-isolated: store commits are transactional (rollback
-journal), and per-query faults quarantine one query behind its
-circuit breaker (:mod:`repro.service.resilience`) instead of failing
-the batch. ``ShardedMatchingService`` (:mod:`repro.service.sharded`)
-scales the same contract across supervised worker processes over
-shared-memory snapshots, adding shard-granularity crash tolerance.
+every registered query shares; ``MatchingService`` runs each update
+batch as one transaction over per-query
+:class:`~repro.matching.wbm.QueryRuntime`\\ s and prices the result for
+the asynchronous pipeline model. The serving path is fault-isolated:
+store commits are transactional (rollback journal), and per-query
+faults quarantine one query behind its circuit breaker
+(:mod:`repro.service.resilience`) instead of failing the batch.
+``ShardedMatchingService`` (:mod:`repro.service.sharded`) runs the same
+transaction over supervised worker processes on shared-memory
+snapshots, adding shard-granularity crash tolerance.
 """
 
 from repro.service.store import DynamicGraphStore, RollbackJournal, StoreCommit

@@ -5,37 +5,45 @@ batch across all query runtimes in one interpreter — one hung or
 crashed interpreter takes down the whole query population, and one core
 caps throughput. This module partitions the *query population* across N
 worker processes (gMatch-style fine-grained work partitioning, applied
-to standing queries rather than the graph):
+to standing queries rather than the graph). It is the same batch
+transaction as :class:`MatchingService` (``process_batch`` is inherited,
+not re-implemented) over two executors:
 
-* each **worker** hosts a pool of :class:`~repro.matching.wbm.QueryRuntime`\\ s
-  over a read-only CSR snapshot attached via
-  ``multiprocessing.shared_memory`` (the flat int64/uint64 arrays of
-  :class:`~repro.graph.csr.CSRGraph` plus the packed encoding matrix —
-  the zero-copy representation PRs 2–5 built);
-* the **parent** runs the single authoritative
-  :class:`~repro.service.store.DynamicGraphStore`, commits each batch
-  exactly once (transactionally, PR 7), publishes the post-commit
-  snapshot, and broadcasts the committed delta to every worker;
-* a **supervisor** watches per-worker heartbeats and a per-batch
-  deadline. A crashed, hung, or protocol-violating worker trips the
-  existing :class:`~repro.service.resilience.CircuitBreaker` machinery
-  at *shard* granularity: the worker is killed and respawned, the
-  current snapshot republished, and its queries re-bootstrapped at the
-  committed boundary (bounded retries — exhaustion latches the shard,
-  optionally degrading its queries to in-process execution so the
-  service keeps answering).
+* a :class:`WorkerPool`: each **worker** process hosts an
+  :class:`~repro.service.matching_service.InProcessExecutor` over a
+  read-only CSR snapshot attached via ``multiprocessing.shared_memory``
+  (the flat int64/uint64 arrays of :class:`~repro.graph.csr.CSRGraph`
+  plus the packed encoding matrix) and runs the same guarded phase
+  loops the parent runs for its own queries. The pool publishes the
+  post-commit snapshot, broadcasts the committed delta, and collects
+  the replies under **supervision**: per-worker heartbeats and a
+  per-batch deadline. A crashed, hung, or protocol-violating worker
+  trips the :class:`~repro.service.resilience.CircuitBreaker`
+  machinery at *shard* granularity: the worker is killed and respawned,
+  the current snapshot republished, and its queries re-bootstrapped at
+  the committed boundary (bounded retries — exhaustion latches the
+  shard);
+* the parent's in-process executor, which receives a latched shard's
+  queries when ``ShardPolicy.degrade_to_inprocess`` is set, so the
+  service keeps answering them.
+
+The parent runs the single authoritative
+:class:`~repro.service.store.DynamicGraphStore` and commits each batch
+exactly once (transactionally).
 
 Failure model. Worker faults never corrupt results: a shard that fails
 mid-batch contributes quarantined rows for that batch (its collectors
 do not advance) and is re-anchored by a fresh bootstrap before it
 serves again, so healthy shards' matches and ``KernelStats`` stay
-byte-identical to single-process serving. Reports carry per-shard
-health (:attr:`ShardedBatchReport.shard_health`) alongside PR 7's
-per-query health.
+byte-identical to single-process serving. Per-query faults inside a
+worker ride the reply and trip only that query's breaker; a worker-side
+``xp.ScalarEscapeError`` is shipped to the parent and re-raised there.
+Reports carry per-shard health (:attr:`ShardedBatchReport.shard_health`)
+alongside the per-query health.
 
 Determinism. Process-level faults come from the same seeded
-:class:`~repro.testing.faults.FaultPlan` as PR 7's chaos suite: the
-plan is pickled into each worker at spawn, the behavioral
+:class:`~repro.testing.faults.FaultPlan` as the single-process chaos
+suite: the plan is pickled into each worker at spawn, the behavioral
 ``worker.*`` sites count exactly one arrival per batch message (all
 sites are polled via :meth:`FaultPlan.due` at message receipt, then
 acted on at their effect points), and the parent pre-seeds a respawned
@@ -58,40 +66,24 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _conn_wait
 
-from repro.bench.cost import CostModel, DEFAULT_COST_MODEL
-from repro.errors import (
-    GraphError,
-    MatchingError,
-    QueryQuarantinedError,
-    ReproError,
-    ServiceError,
-    ShardFaultError,
-    UpdateError,
-)
+from repro import xp
+from repro.errors import ReproError, ServiceError, ShardFaultError
 from repro.graph.csr import AttachedSnapshot, publish_snapshot, unlink_snapshot
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.updates import UpdateBatch, UpdateStream, apply_effective_delta
-from repro.gpu.params import DEFAULT_PARAMS, DeviceParams
-from repro.matching.wbm import BatchResult, Match, QueryRuntime, WBMConfig
-from repro.pipeline.async_exec import PipelineModel, PipelineReport
-from repro.pipeline.postprocess import MatchCollector, ThroughputMeter
+from repro.graph.updates import apply_effective_delta
+from repro.matching.wbm import Match, WBMConfig
+from repro.pipeline.postprocess import MatchCollector
 from repro.service.matching_service import (
-    ENCODE_OPS_PER_VERTEX,
-    POSTPROCESS_OPS_PER_MATCH,
-    SERVICE_SHARED_STAGES,
-    TABLE_OPS_PER_ROW,
-    QueryBatchReport,
+    InProcessExecutor,
+    MatchingService,
     ServiceBatchReport,
 )
 from repro.service.resilience import (
     HEALTH_DEGRADED,
-    HEALTH_OK,
     HEALTH_QUARANTINED,
-    HEALTH_RECOVERED,
     CircuitBreaker,
     ResiliencePolicy,
 )
-from repro.service.store import DynamicGraphStore, StoreCommit
 
 #: behavioral worker fault sites, polled once per batch message in this
 #: order (see module docstring, "Determinism")
@@ -241,13 +233,12 @@ class _WorkerStore:
 
 
 class _Worker:
-    """The loop body of one worker process."""
+    """The loop body of one worker process: an in-process executor
+    over the worker's replica store, driven by the parent's messages."""
 
     def __init__(self, conn, init: dict) -> None:
         self.conn = conn
         self.shard: str = init["shard"]
-        self.params: DeviceParams = init["params"]
-        self.policy: ResiliencePolicy = init["policy"]
         plan = init["faults"]
         if plan is not None:
             # resume the behavioral-site counters where the previous
@@ -270,14 +261,11 @@ class _Worker:
         )
         if plan is not None:
             plan.fire("worker.bootstrap", query=self.shard)
-        self.runtimes: dict[str, QueryRuntime] = {}
-        self.bootstrap_results: dict[str, set[Match] | None] = {}
-        for name, query, config, bootstrap in init["queries"]:
-            rt = QueryRuntime(
-                query, self.store, self.params, config, name=name, collector=None
-            )
-            self.runtimes[name] = rt
-            self.bootstrap_results[name] = rt.bootstrap() if bootstrap else None
+        self.local = InProcessExecutor(self.store, init["params"], init["policy"], collectors=False)
+        self.bootstrap_results: dict[str, set[Match] | None] = {
+            name: self.local.add(name, query, config, bootstrap)
+            for name, query, config, bootstrap in init["queries"]
+        }
 
     # -- protocol ------------------------------------------------------
     def serve(self) -> None:
@@ -301,21 +289,15 @@ class _Worker:
             elif kind == "register":
                 self._handle_register(*msg[1:])
             elif kind == "unregister":
-                self.runtimes.pop(msg[1], None)
+                self.local.runtimes.pop(msg[1], None)
                 self.conn.send(("unregistered", msg[1]))
-            elif kind == "ping":
-                self.conn.send(("pong", msg[1]))
 
     def _handle_register(self, name, query, config, bootstrap) -> None:
         try:
-            rt = QueryRuntime(
-                query, self.store, self.params, config, name=name, collector=None
-            )
-            initial = rt.bootstrap() if bootstrap else None
+            initial = self.local.add(name, query, config, bootstrap)
         except Exception as err:  # noqa: BLE001 - isolation boundary
             self.conn.send(("register_error", name, _shippable(err, query=name)))
         else:
-            self.runtimes[name] = rt
             self.conn.send(("registered", name, initial))
 
     # -- batch ---------------------------------------------------------
@@ -336,61 +318,22 @@ class _Worker:
         self._fired_mark = len(self.faults.fired)
         return [(s.site, s.occurrence, s.query, s.kind) for s in new]
 
-    def _guarded_launch(self, name: str, edges, version: int):
-        """(output, degraded, error) with the same degrade-to-scalar
-        semantics as ``MatchingService._guarded_launch``."""
-        rt = self.runtimes[name]
-        try:
-            return rt.launch(edges), False, None
-        except Exception as err:  # noqa: BLE001 - isolation boundary
-            if self.policy.degrade_to_scalar and rt.config.vectorized:
-                try:
-                    out = rt.launch(edges, degraded=True)
-                except Exception as err2:  # noqa: BLE001
-                    err = err2
-                else:
-                    return out, True, None
-            return None, False, _shippable(
-                err, query=name, batch_version=version, shard=self.shard
-            )
-
     def _handle_batch(self, idx: int, bmsg: dict) -> None:
         effects = self._effects()
         version = bmsg["version"]
         delta = bmsg["delta"]
 
-        # 0. recovery: re-bootstrap requested queries at the *pre-batch*
-        # replica state (same boundary as MatchingService's step 0)
-        recovered: dict[str, tuple] = {}
-        active = list(bmsg["active"])
-        for name in bmsg["rebootstrap"]:
-            try:
-                initial = self.runtimes[name].rebootstrap()
-            except Exception as err:  # noqa: BLE001 - isolation boundary
-                recovered[name] = ("error", _shippable(err, query=name,
-                                                       batch_version=version))
-            else:
-                recovered[name] = ("ok", initial)
-                active.append(name)
+        def beat(name):
+            self.conn.send(("hb", idx, name))
 
-        out = {
-            n: {"neg": None, "pos": None, "error": None, "degraded": False}
-            for n in active
-        }
-        failed: set[str] = set()
+        # 0. recovery at the *pre-batch* replica state (the parent's
+        # recovery boundary too)
+        recovered = self.local.rebootstrap(bmsg["rebootstrap"])
+        active = list(bmsg["active"]) + [n for n, r in recovered.items() if r[0] == "ok"]
+        out = self.local.open(active)
 
         # 1. negative phase against the pre-update replica
-        deleted = list(delta.deleted)
-        if deleted:
-            for name in active:
-                res, degraded, err = self._guarded_launch(name, deleted, version)
-                if err is not None:
-                    out[name]["error"] = err
-                    failed.add(name)
-                else:
-                    out[name]["neg"] = res
-                    out[name]["degraded"] |= degraded
-                self.conn.send(("hb", idx, name))
+        self.local.launch(out, "neg", list(delta.deleted), beat)
 
         if effects["worker.batch.abort"]:
             os._exit(1)
@@ -409,35 +352,21 @@ class _Worker:
             ).with_context(batch_version=version, fault_site="worker.snapshot.stale")
 
         # 3. observe + positive phase against the committed state
-        commit_view = _CommitView(version=version, changed_vertices=bmsg["changed"])
-        for name in active:
-            if name in failed:
-                continue
-            try:
-                self.runtimes[name].observe_commit(commit_view)
-            except Exception as err:  # noqa: BLE001 - isolation boundary
-                out[name]["error"] = _shippable(err, query=name, batch_version=version)
-                failed.add(name)
-        inserted = list(delta.inserted)
-        if inserted:
-            for name in active:
-                if name in failed:
-                    continue
-                res, degraded, err = self._guarded_launch(name, inserted, version)
-                if err is not None:
-                    out[name]["error"] = err
-                    failed.add(name)
-                else:
-                    out[name]["pos"] = res
-                    out[name]["degraded"] |= degraded
-                self.conn.send(("hb", idx, name))
+        self.local.observe(out, _CommitView(version=version, changed_vertices=bmsg["changed"]))
+        self.local.launch(out, "pos", list(delta.inserted), beat)
 
+        for name, q in out.items():
+            if q["error"] is not None:
+                q["error"] = _shippable(
+                    q["error"], query=name, batch_version=version, shard=self.shard
+                )
+        for name, (status, value) in recovered.items():
+            if status == "error":
+                recovered[name] = (status, _shippable(value, query=name, batch_version=version))
         payload = {
             "queries": out,
             "recovered": recovered,
-            "launch_wall": sum(
-                rt.gpu.launch_wall_seconds for rt in self.runtimes.values()
-            ),
+            "launch_wall": self.local.launch_wall_seconds(),
             "fired": self._fired_delta(),
         }
         if effects["worker.ipc.torn"]:
@@ -465,20 +394,6 @@ def _worker_main(conn, init: dict) -> None:
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
-@dataclass
-class _QueryState:
-    """Parent-side ledger for one registered query (the authoritative
-    match view lives here; workers only run kernels)."""
-
-    name: str
-    query: LabeledGraph
-    config: WBMConfig
-    shard: str
-    bootstrap: bool
-    initial: set[Match] | None = None
-    collector: MatchCollector = field(default_factory=MatchCollector)
-
-
 class _Shard:
     """Parent-side handle of one worker process."""
 
@@ -487,130 +402,77 @@ class _Shard:
         self.index = index
         self.proc = None
         self.conn = None
-        self.queries: list[str] = []  # registration order within the shard
         self.spawns = 0  # worker incarnations (init-site offset)
         self.batches_sent = 0  # batch messages delivered (batch-site offset)
         self.last_beat = 0.0
         self.launch_wall = 0.0
-        self.inproc = False  # latched and degraded to in-process execution
-        self.runtimes: dict[str, QueryRuntime] = {}  # in-process mode only
-
-    @property
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.is_alive()
 
 
-class ShardedMatchingService:
-    """N queries over one dynamic graph, partitioned across supervised
-    worker processes. API mirrors :class:`MatchingService`."""
+@dataclass
+class _QueryState:
+    """Parent-side ledger for one query placed on a shard. While the
+    shard's worker hosts it, the parent's match view is ``collector``
+    applied to ``initial``; once the shard degrades, the query's
+    runtime lives in the parent's in-process executor."""
 
-    def __init__(
-        self,
-        graph: LabeledGraph | None = None,
-        *,
-        store: DynamicGraphStore | None = None,
-        params: DeviceParams = DEFAULT_PARAMS,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        bits_per_label: int = 2,
-        extra_labels: tuple[int, ...] = (),
-        vectorized: bool = True,
-        policy: ResiliencePolicy | None = None,
-        shard_policy: ShardPolicy | None = None,
-        faults=None,
-    ) -> None:
-        if store is None:
-            if graph is None:
-                raise MatchingError("ShardedMatchingService needs a data graph or a store")
-            store = DynamicGraphStore(
-                graph,
-                params,
-                bits_per_label=bits_per_label,
-                extra_labels=extra_labels,
-                vectorized=vectorized,
-                faults=faults,
-            )
-        elif faults is not None:
-            store.attach_faults(faults)
-        self.store = store
-        self.params = params
-        self.cost_model = cost_model
-        self.policy = policy if policy is not None else ResiliencePolicy()
-        self.shard_policy = shard_policy if shard_policy is not None else ShardPolicy()
-        if self.shard_policy.n_workers < 1:
+    query: LabeledGraph
+    config: WBMConfig
+    shard: _Shard
+    initial: set[Match] | None = None
+    collector: MatchCollector = field(default_factory=MatchCollector)
+
+
+class WorkerPool:
+    """Executor over supervised worker processes: publishes the
+    committed snapshot, broadcasts each batch, collects the replies under
+    heartbeat and deadline supervision, and respawns or latches a
+    failing shard."""
+
+    def __init__(self, svc: "ShardedMatchingService", policy: ShardPolicy) -> None:
+        if policy.n_workers < 1:
             raise ServiceError("ShardPolicy.n_workers must be >= 1")
-        self.faults = self.store.faults
-        self.breaker = CircuitBreaker(self.policy)
+        self.svc = svc
+        self.policy = policy
         # shard-granularity breaker: respawns retry immediately
         # (cooldown 0) and are bounded by max_respawns before latching
-        self.shard_breaker = CircuitBreaker(
-            ResiliencePolicy(
-                cooldown_batches=0,
-                max_retries=self.shard_policy.max_respawns,
-                store_retries=self.policy.store_retries,
-            )
+        self.breaker = CircuitBreaker(
+            ResiliencePolicy(cooldown_batches=0, max_retries=policy.max_respawns)
         )
-        self.meter = ThroughputMeter()
-        self.batches_processed = 0
-        self.remote_fired: list[tuple[str, int, str | None, str]] = []
-        self._queries: dict[str, _QueryState] = {}  # registration order
-        self._counter = 0
-        self._closed = False
-        self._mp = get_context(self.shard_policy.start_method)
-        self._handle = self._publish()
-        self._prev_handle = None
-        self._shards = [
-            _Shard(f"shard{i}", i) for i in range(self.shard_policy.n_workers)
-        ]
-        for shard in self._shards:
+        self.fired: list[tuple[str, int, str | None, str]] = []
+        self.queries: dict[str, _QueryState] = {}  # registration order
+        self._mp = get_context(policy.start_method)
+        self.handle = self._publish()
+        self.prev_handle = None
+        self.shards = [_Shard(f"shard{i}", i) for i in range(policy.n_workers)]
+        # per-batch state
+        self._rebootstrap: dict[str, list[str]] = {}
+        self._sent: list[_Shard] = []
+        self._health: dict[str, str] = {}
+        for shard in self.shards:
             self._spawn_worker(shard)
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "ShardedMatchingService":
-        return self
+    # -- placement -----------------------------------------------------
+    def names_on(self, shard: _Shard) -> list[str]:
+        return [n for n, s in self.queries.items() if s.shard is shard]
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def degraded(self, shard: _Shard) -> bool:
+        """Latched with its queries moved to the parent process."""
+        return self.breaker.health(shard.name) == HEALTH_DEGRADED
 
-    def __del__(self) -> None:  # pragma: no cover - GC ordering dependent
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001
-            pass
+    def _serving(self) -> list[_Shard]:
+        """Shards that receive batch broadcasts (live workers only)."""
+        return [
+            s for s in self.shards
+            if not self.degraded(s) and not self.breaker.is_quarantined(s.name)
+        ]
 
-    def close(self) -> None:
-        """Shut every worker down and free the published segments."""
-        if self._closed:
-            return
-        self._closed = True
-        for shard in self._shards:
-            if shard.conn is not None:
-                try:
-                    shard.conn.send(("shutdown",))
-                except (OSError, BrokenPipeError, ValueError):
-                    pass
-            if shard.proc is not None:
-                shard.proc.join(timeout=1.0)
-                if shard.proc.is_alive():
-                    shard.proc.kill()
-                    shard.proc.join(timeout=1.0)
-            if shard.conn is not None:
-                shard.conn.close()
-                shard.conn = None
-        for handle in (self._handle, self._prev_handle):
-            if handle is not None:
-                unlink_snapshot(handle)
-        self._handle = self._prev_handle = None
-
-    # ------------------------------------------------------------------
-    # workers
-    # ------------------------------------------------------------------
+    # -- workers -------------------------------------------------------
     def _publish(self):
         """Publish the store's current snapshot (CSR + packed encodings)."""
-        arrays = dict(self.store.csr_snapshot().snapshot_arrays())
-        arrays["enc_packed"] = self.store.encodings.packed
-        return publish_snapshot(arrays, version=self.store.version)
+        store = self.svc.store
+        arrays = dict(store.csr_snapshot().snapshot_arrays())
+        arrays["enc_packed"] = store.encodings.packed
+        return publish_snapshot(arrays, version=store.version)
 
     def _arrival_offsets(self, shard: _Shard) -> dict:
         """Pre-seed a fresh worker's behavioral-site counters so specs
@@ -625,31 +487,28 @@ class ShardedMatchingService:
         offsets[("worker.bootstrap", None)] = shard.spawns
         return offsets
 
-    def _spawn_worker(self, shard: _Shard, *, respawn: bool = False) -> dict:
+    def _spawn_worker(self, shard: _Shard) -> dict:
         """Start one worker (initial spawn or supervisor respawn), wait
         for its bootstrap, and return the per-query initial match sets.
         Raises on init fault / crash / timeout."""
+        svc = self.svc
         init = {
             "shard": shard.name,
             # no graph in the init payload: the worker derives its
             # replica mirror from the attached shared-memory snapshot
-            "params": self.params,
-            "policy": self.policy,
-            "faults": self.faults,
+            "params": svc.params,
+            "policy": svc.policy,
+            "faults": svc.store.faults,
             "arrival_offsets": self._arrival_offsets(shard),
-            "handle": self._handle,
-            "schema": self.store.encodings.schema,
-            "vectorized": self.store.vectorized,
+            "handle": self.handle,
+            "schema": svc.store.encodings.schema,
+            "vectorized": svc.store.vectorized,
+            # a worker bootstraps every query it is spawned with: a
+            # respawn re-anchors them (same contract as
+            # QueryRuntime.rebootstrap), and the first spawn has none
             "queries": [
-                (
-                    name,
-                    self._queries[name].query,
-                    self._queries[name].config,
-                    # a respawn always re-anchors with a fresh bootstrap
-                    # (same contract as QueryRuntime.rebootstrap)
-                    True if respawn else self._queries[name].bootstrap,
-                )
-                for name in shard.queries
+                (name, self.queries[name].query, self.queries[name].config, True)
+                for name in self.names_on(shard)
             ],
         }
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
@@ -661,22 +520,14 @@ class ShardedMatchingService:
         shard.proc = proc
         shard.conn = parent_conn
         shard.spawns += 1
-        deadline = time.monotonic() + self.shard_policy.batch_deadline_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not parent_conn.poll(max(remaining, 0.0)):
-                self._kill_worker(shard)
-                raise ShardFaultError(shard.name, "worker init timed out")
-            try:
-                msg = parent_conn.recv()
-            except (EOFError, OSError):
-                self._kill_worker(shard)
-                raise ShardFaultError(shard.name, "worker crashed during init")
-            if msg[0] == "ready":
-                return msg[1]
+        try:
+            msg = self._await_control(shard, {"ready", "init_error"})
             if msg[0] == "init_error":
-                self._kill_worker(shard)
                 raise msg[1]
+        except Exception:
+            self._kill_worker(shard)
+            raise
+        return msg[1]
 
     def _kill_worker(self, shard: _Shard) -> None:
         if shard.proc is not None:
@@ -688,431 +539,176 @@ class ShardedMatchingService:
             shard.conn.close()
             shard.conn = None
 
-    def _serving_shards(self) -> list[_Shard]:
-        """Shards that receive batch broadcasts (live workers only)."""
-        return [
-            s
-            for s in self._shards
-            if not s.inproc and not self.shard_breaker.is_quarantined(s.name)
-        ]
+    def _await_control(self, shard: _Shard, kinds: set):
+        """Wait (within the batch deadline) for a control reply of one
+        of ``kinds``, skipping heartbeats and stale batch replies left
+        in the pipe."""
+        what = "/".join(sorted(kinds))
+        deadline = time.monotonic() + self.policy.batch_deadline_s
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not shard.conn.poll(max(remaining, 0.0)):
+                raise ShardFaultError(shard.name, f"{what} reply timed out")
+            try:
+                msg = shard.conn.recv()
+            except (EOFError, OSError):
+                raise ShardFaultError(shard.name, f"worker crashed awaiting {what} reply")
+            if msg[0] in kinds:
+                return msg
 
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
-    @property
-    def graph(self) -> LabeledGraph:
-        return self.store.graph
-
-    @property
-    def n_queries(self) -> int:
-        return len(self._queries)
-
-    @property
-    def query_names(self) -> list[str]:
-        return list(self._queries)
-
-    def _next_name(self) -> str:
-        while f"q{self._counter}" in self._queries:
-            self._counter += 1
-        return f"q{self._counter}"
-
-    def _pick_shard(self) -> _Shard:
-        candidates = [
-            s for s in self._shards if not self.shard_breaker.is_quarantined(s.name)
-        ]
+    # -- executor protocol: registration and reads -----------------------
+    def register(self, svc, name, query, config, bootstrap):
+        """Place a query on the least-loaded serving shard. The shard
+        bootstraps it against its current replica (registration churn
+        does not stall the parent's commit pipeline); a degraded shard's
+        queries run in the parent's in-process executor."""
+        candidates = [s for s in self.shards if not self.breaker.is_quarantined(s.name)]
         if not candidates:
             raise ServiceError("no serving shard available for registration")
-        return min(candidates, key=lambda s: (len(s.queries), s.index))
-
-    def register_query(
-        self,
-        query: LabeledGraph,
-        config: WBMConfig = WBMConfig(),
-        name: str | None = None,
-        bootstrap: bool = True,
-    ) -> str:
-        """Register a query on the least-loaded serving shard. The shard
-        bootstraps it against its current replica (registration churn
-        does not stall the parent's commit pipeline)."""
-        if name is None:
-            name = self._next_name()
-        if name in self._queries:
-            raise ServiceError(f"query {name!r} already registered")
-        shard = self._pick_shard()
-        state = _QueryState(
-            name=name, query=query, config=config, shard=shard.name, bootstrap=bootstrap
-        )
-        if shard.inproc:
-            runtime = QueryRuntime(
-                query, self.store, self.params, config, name=name, collector=None
-            )
-            state.initial = runtime.bootstrap() if bootstrap else None
-            shard.runtimes[name] = runtime
+        shard = min(candidates, key=lambda s: (len(self.names_on(s)), s.index))
+        state = _QueryState(query=query, config=config, shard=shard)
+        if self.degraded(shard):
+            host = svc.local.register(svc, name, query, config, bootstrap)
         else:
             shard.conn.send(("register", name, query, config, bootstrap))
             msg = self._await_control(shard, {"registered", "register_error"})
             if msg[0] == "register_error":
                 raise msg[2]
             state.initial = msg[2]
-        shard.queries.append(name)
-        self._queries[name] = state
-        self._counter += 1
-        return name
+            host = self
+        self.queries[name] = state
+        return host
 
-    def unregister_query(self, name: str, *, force: bool = False) -> None:
-        state = self._queries.get(name)
-        if state is None:
-            raise ServiceError(f"no registered query named {name!r}")
-        if (
-            self.breaker.is_quarantined(name)
-            or self.shard_breaker.is_quarantined(state.shard)
-        ) and not force:
-            raise QueryQuarantinedError(name, "unregister requires force=True")
-        shard = self._shard_by_name(state.shard)
-        if shard.inproc:
-            shard.runtimes.pop(name, None)
-        elif shard.alive:
+    def unregister(self, name: str) -> None:
+        shard = self.queries[name].shard
+        if shard.proc is not None and shard.proc.is_alive():
             try:
                 shard.conn.send(("unregister", name))
                 self._await_control(shard, {"unregistered"})
             except (OSError, BrokenPipeError, EOFError, ShardFaultError):
                 pass  # the supervisor will catch the dead worker next batch
-        if name in shard.queries:
-            shard.queries.remove(name)
-        del self._queries[name]
-        self.breaker.drop(name)
 
-    def _shard_by_name(self, name: str) -> _Shard:
-        for shard in self._shards:
-            if shard.name == name:
-                return shard
-        raise ServiceError(f"unknown shard {name!r}")
-
-    def _await_control(self, shard: _Shard, kinds: set, timeout: float | None = None):
-        """Wait for a control reply, skipping heartbeats and stale batch
-        replies left in the pipe."""
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else self.shard_policy.batch_deadline_s
-        )
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not shard.conn.poll(max(remaining, 0.0)):
-                raise ShardFaultError(shard.name, "control reply timed out")
-            try:
-                msg = shard.conn.recv()
-            except (EOFError, OSError):
-                raise ShardFaultError(shard.name, "worker crashed awaiting control reply")
-            if msg[0] in kinds:
-                return msg
-
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
-    def matches(self, name: str) -> set[Match]:
-        """Current match set of one registered query (parent-side view:
-        bootstrap anchor plus every consumed batch delta)."""
-        state = self._queries.get(name)
-        if state is None:
-            raise ServiceError(f"no registered query named {name!r}")
-        if self.breaker.is_quarantined(name):
-            raise QueryQuarantinedError(name, self.breaker.record(name).last_error)
-        if self.shard_breaker.is_quarantined(state.shard):
-            raise QueryQuarantinedError(
-                name,
-                f"shard {state.shard!r} is quarantined: "
-                f"{self.shard_breaker.record(state.shard).last_error}",
+    def blocked(self, name: str) -> str | None:
+        shard = self.queries[name].shard
+        if self.breaker.is_quarantined(shard.name):
+            return (
+                f"shard {shard.name!r} is quarantined: "
+                f"{self.breaker.record(shard.name).last_error}"
             )
-        base = set(state.initial or ())
-        base |= state.collector.live_matches()
-        base -= state.collector.dead_matches()
-        return base
+        return None
 
-    def query_health(self, name: str) -> str:
-        state = self._queries.get(name)
-        if state is None:
-            raise ServiceError(f"no registered query named {name!r}")
-        if self.shard_breaker.is_quarantined(state.shard):
-            return HEALTH_QUARANTINED
-        return self.breaker.health(name)
+    def matches(self, name: str) -> set[Match]:
+        state = self.queries[name]
+        return state.collector.apply_to(state.initial)
 
-    def health_snapshot(self) -> dict[str, str]:
-        return {name: self.query_health(name) for name in self._queries}
+    def consume(self, name: str, result) -> None:
+        self.queries[name].collector.consume(result)
 
-    def shard_health(self) -> dict[str, str]:
-        return {s.name: self.shard_breaker.health(s.name) for s in self._shards}
-
-    def shard_of(self, name: str) -> str:
-        return self._queries[name].shard
+    def _reanchor(self, name: str, initial) -> None:
+        state = self.queries[name]
+        state.initial = initial
+        state.collector = MatchCollector()
 
     def launch_wall_seconds(self) -> float:
-        """Host seconds inside the virtual-GPU launch machinery: latest
-        worker-reported totals plus any in-process runtimes."""
-        total = sum(s.launch_wall for s in self._shards)
-        for shard in self._shards:
-            total += sum(rt.gpu.launch_wall_seconds for rt in shard.runtimes.values())
-        return total
+        """Latest worker-reported launch-machinery totals."""
+        return sum(s.launch_wall for s in self.shards)
 
-    # ------------------------------------------------------------------
-    # batch processing
-    # ------------------------------------------------------------------
-    def stage_plan(self) -> list[tuple[str, str]]:
-        """Shared stages, one candidate-table refresh stage per shard on
-        its own CPU (the refresh runs inside each worker's
-        ``observe_commit``, on that worker process's core), one kernel
-        stage per query on its shard's GPU resource (in-process queries
-        on the parent's ``cpu``/``gpu``), then postprocess — the stage
-        lists the pipeline model overlaps."""
-        refresh_stages = []
-        kernel_stages = []
-        for shard in self._shards:
-            if shard.queries:
-                cpu = "cpu" if shard.inproc else f"cpu:{shard.index}"
-                refresh_stages.append((f"refresh:{shard.name}", cpu))
-        for name, state in self._queries.items():
-            shard = self._shard_by_name(state.shard)
-            resource = "gpu" if shard.inproc else f"gpu:{shard.index}"
-            kernel_stages.append((f"kernel:{name}", resource))
-        return (
-            list(SERVICE_SHARED_STAGES)
-            + refresh_stages
-            + kernel_stages
-            + [("postprocess", "cpu")]
-        )
+    # -- executor protocol: the batch ------------------------------------
+    def begin(self, svc, b, due: list[str]) -> None:
+        """Worker-hosted recoveries piggyback on the batch broadcast."""
+        self._rebootstrap, self._sent, self._health = {}, [], {}
+        for name in due:
+            shard = self.queries[name].shard
+            if not self.breaker.is_quarantined(shard.name):
+                self._rebootstrap.setdefault(shard.name, []).append(name)
 
-    def process_batch(self, batch: UpdateBatch) -> ShardedBatchReport:
-        """One batch across every shard, inside the supervision envelope.
+    def before_commit(self, svc, b, delta) -> None:
+        pass
 
-        Parent: prepare → in-process negative phase → transactional
-        commit → publish snapshot → broadcast → in-process observe +
-        positive phase → supervised collection → assemble. Worker
-        faults (crash / hang / torn IPC / stale snapshot) quarantine the
-        *shard* for this batch and trigger respawn + re-bootstrap;
-        per-query faults inside a worker quarantine only that query.
-        """
-        if self._closed:
-            raise ServiceError("service is closed")
-        batch_index = self.batches_processed
-        health: dict[str, str] = {}
-        shard_health: dict[str, str] = {}
-        failed: set[str] = set()
-        row_errors: dict[str, str] = {}
-
-        # 0a. shard-level recovery: a shard that latched *without*
-        # in-process degradation stays down; nothing to do here because
-        # respawns are attempted at detection time (same batch).
-        # 0b. per-query recovery. In-process queries re-bootstrap here;
-        # worker-hosted ones piggyback on the batch broadcast.
-        rebootstrap: dict[str, list[str]] = {}
-        for name, state in self._queries.items():
-            if not self.breaker.retry_due(name, batch_index):
-                continue
-            shard = self._shard_by_name(state.shard)
-            if shard.inproc:
-                runtime = shard.runtimes[name]
-                try:
-                    initial = runtime.rebootstrap()
-                except Exception as err:  # noqa: BLE001 - isolation boundary
-                    self.breaker.note_retry_failure(name, batch_index, err)
-                else:
-                    self.breaker.mark_recovered(name, batch_index)
-                    state.initial = initial
-                    state.collector = MatchCollector()
-            elif not self.shard_breaker.is_quarantined(state.shard):
-                rebootstrap.setdefault(state.shard, []).append(name)
-
-        # 1. prepare
-        delta, err = self._guarded_store(lambda: self.store.prepare(batch))
-        if err is not None:
-            return self._dropped_batch_report(batch, "prepare", err)
-
-        report = ShardedBatchReport(
-            batch_size=len(batch),
-            delta_inserted=len(delta.inserted),
-            delta_deleted=len(delta.deleted),
-            stages=self.stage_plan(),
-        )
-
-        inproc_active = [
-            name
-            for name, state in self._queries.items()
-            if self._shard_by_name(state.shard).inproc
-            and not self.breaker.is_quarantined(name)
-        ]
-
-        # 2. in-process negative phase against the pre-update graph
-        neg: dict[str, object] = {}
-        if delta.deleted:
-            edges = list(delta.deleted)
-            for name in inproc_active:
-                out = self._guarded_inproc_launch(name, edges, batch_index, health, failed)
-                if out is not None:
-                    neg[name] = out
-
-        # 3. transactional commit
-        commit, err = self._guarded_store(lambda: self.store.commit(batch, delta))
-        if err is not None:
-            return self._dropped_batch_report(batch, "commit", err, rolled_back=True)
-        report.gpma_stats = commit.gpma_stats
-        report.reencoded_vertices = len(commit.changed_vertices)
-
-        # 4. publish the committed snapshot and broadcast the batch
-        self._prev_handle = self._handle
-        self._handle = self._publish()
-        live = self._serving_shards()
-        expected: dict[str, set[str]] = {}
-        idx = batch_index
-        for shard in live:
-            active = [
-                n
-                for n in shard.queries
-                if not self.breaker.is_quarantined(n)
-            ]
-            pending_recovery = rebootstrap.get(shard.name, [])
+    def after_commit(self, svc, b, delta, commit) -> None:
+        """Publish the committed snapshot and broadcast the batch."""
+        self._retire()  # left behind by a batch that raised mid-flight
+        self.prev_handle, self.handle = self.handle, self._publish()
+        for shard in self._serving():
             bmsg = {
                 "version": commit.version,
-                "handle": self._handle,
+                "handle": self.handle,
                 "delta": delta,
                 "changed": tuple(commit.changed_vertices),
-                "active": active,
-                "rebootstrap": pending_recovery,
+                "active": [n for n in self.names_on(shard) if not svc.breaker.is_quarantined(n)],
+                "rebootstrap": self._rebootstrap.get(shard.name, []),
             }
             try:
-                shard.conn.send(("batch", idx, bmsg))
+                shard.conn.send(("batch", b.index, bmsg))
             except (OSError, BrokenPipeError, ValueError) as send_err:
                 self._shard_fault(
-                    shard,
-                    batch_index,
-                    ShardFaultError(shard.name, f"broadcast failed: {send_err}"),
-                    health,
-                    shard_health,
-                    failed,
-                    row_errors,
+                    b, shard, ShardFaultError(shard.name, f"broadcast failed: {send_err}")
                 )
                 continue
             shard.batches_sent += 1
-            expected[shard.name] = set(active) | set(pending_recovery)
+            self._sent.append(shard)
 
-        # 5. in-process observe + positive phase
-        for name in inproc_active:
-            if name in failed:
-                continue
-            shard = self._shard_by_name(self._queries[name].shard)
-            try:
-                shard.runtimes[name].observe_commit(commit)
-            except Exception as err:  # noqa: BLE001 - isolation boundary
-                self._trip(name, batch_index, err, health, failed)
-        pos: dict[str, object] = {}
-        if delta.inserted:
-            edges = list(delta.inserted)
-            for name in inproc_active:
-                if name in failed:
-                    continue
-                out = self._guarded_inproc_launch(name, edges, batch_index, health, failed)
-                if out is not None:
-                    pos[name] = out
-
-        # 6. supervised collection of worker replies
-        pending = [s for s in live if s.name in expected]
-        replies = self._collect_replies(
-            pending, idx, batch_index, health, shard_health, failed, row_errors
-        )
-
-        # 7. fold worker replies into parent state
-        results: dict[str, tuple] = {name: (neg.get(name), pos.get(name))
-                                     for name in inproc_active if name not in failed}
-        for shard in live:
+    def collect(self, svc, b) -> None:
+        """Supervised collection; fold every reply into the parent."""
+        replies = self._collect_replies(b)
+        for shard in self._sent:
             payload = replies.get(shard.name)
             if payload is None:
                 continue
-            for name, res in payload["recovered"].items():
-                if name not in self._queries:
-                    continue
-                if res[0] == "ok":
-                    self.breaker.mark_recovered(name, batch_index)
-                    state = self._queries[name]
-                    state.initial = res[1]
-                    state.collector = MatchCollector()
-                else:
-                    self.breaker.note_retry_failure(name, batch_index, res[1])
-                    health[name] = HEALTH_QUARANTINED
-                    failed.add(name)
-            for name, q in payload["queries"].items():
-                if name not in self._queries:
-                    continue
-                if q["error"] is not None:
-                    self._trip(name, batch_index, q["error"], health, failed)
-                    continue
-                if q["degraded"]:
-                    health[name] = HEALTH_DEGRADED
-                    self.breaker.note_degraded(name)
-                results[name] = (q["neg"], q["pos"])
+            for name, (status, initial) in payload["recovered"].items():
+                if status == "ok" and name in self.queries:
+                    self._reanchor(name, initial)
+            svc._fold_recovery(b, payload["recovered"])
+            svc._fold_outcomes(b, payload["queries"])
             shard.launch_wall = payload["launch_wall"]
-            self.remote_fired.extend(payload.get("fired", ()))
+            self.fired.extend(payload.get("fired", ()))
+        self._retire()
 
-        # 8. assemble rows in registration order
-        for name, state in self._queries.items():
-            if name in results and name not in failed:
-                result = self._assemble_result(results[name], commit)
-                state.collector.consume(result)
-                row_health = health.get(name)
-                if row_health is None:
-                    row_health = (
-                        HEALTH_RECOVERED
-                        if self.breaker.health(name) == HEALTH_RECOVERED
-                        else HEALTH_OK
-                    )
-                health[name] = row_health
-                report.queries[name] = QueryBatchReport(
-                    name=name,
-                    result=result,
-                    kernel_seconds=self.cost_model.gpu_seconds(
-                        result.kernel_stats.kernel_cycles
-                    ),
-                    health=row_health,
-                )
-                report.aborted |= result.aborted
-            else:
-                row_health = health.setdefault(name, HEALTH_QUARANTINED)
-                report.queries[name] = QueryBatchReport(
-                    name=name,
-                    result=BatchResult(),
-                    health=row_health,
-                    error=row_errors.get(name) or self.breaker.record(name).last_error,
-                )
+    def _retire(self) -> None:
+        """Unlink the previous batch's segment — only after reply
+        collection and any respawn or degrade has re-attached the live
+        one."""
+        if self.prev_handle is not None:
+            unlink_snapshot(self.prev_handle)
+            self.prev_handle = None
 
-        report.health = dict(health)
-        for shard in self._shards:
-            shard_health.setdefault(shard.name, self.shard_breaker.health(shard.name))
-        report.shard_health = shard_health
-        report.worker_launch_wall = {s.name: s.launch_wall for s in self._shards}
+    def finish(self, report: ShardedBatchReport) -> None:
+        report.shard_health = {
+            s.name: self._health.get(s.name, self.breaker.health(s.name)) for s in self.shards
+        }
+        report.worker_launch_wall = {s.name: s.launch_wall for s in self.shards}
         self.breaker.settle()
-        self.shard_breaker.settle()
-        report.stage_seconds = self._price_stages(report, commit)
-        self.meter.record(report.total_seconds, len(batch))
-        self.batches_processed += 1
-        if self._prev_handle is not None:
-            unlink_snapshot(self._prev_handle)
-            self._prev_handle = None
-        return report
+
+    def close(self) -> None:
+        """Shut every worker down and free the published segments."""
+        for shard in self.shards:
+            if shard.conn is not None:
+                try:
+                    shard.conn.send(("shutdown",))
+                except (OSError, BrokenPipeError, ValueError):
+                    pass
+            if shard.proc is not None:
+                shard.proc.join(timeout=1.0)  # a clean exit first
+            self._kill_worker(shard)
+        for handle in (self.handle, self.prev_handle):
+            if handle is not None:
+                unlink_snapshot(handle)
+        self.handle = self.prev_handle = None
 
     # -- supervision ---------------------------------------------------
-    def _collect_replies(
-        self, pending_shards, idx, batch_index, health, shard_health, failed, row_errors
-    ) -> dict[str, dict]:
+    def _collect_replies(self, b) -> dict[str, dict]:
         """Wait for every broadcast shard's reply under the heartbeat
         and batch-deadline limits; fault the stragglers."""
         t0 = time.monotonic()
-        hb_limit = self.shard_policy.heartbeat_timeout_s
-        deadline = self.shard_policy.batch_deadline_s
-        pending = {s.name: s for s in pending_shards}
+        hb_limit = self.policy.heartbeat_timeout_s
+        deadline = self.policy.batch_deadline_s
+        pending = {s.name: s for s in self._sent}
         for s in pending.values():
             s.last_beat = t0
         replies: dict[str, dict] = {}
 
         def fault(shard, err):
-            self._shard_fault(
-                shard, batch_index, err, health, shard_health, failed, row_errors
-            )
+            self._shard_fault(b, shard, err)
             pending.pop(shard.name, None)
 
         while pending:
@@ -1139,7 +735,7 @@ class ShardedMatchingService:
                 if kind == "hb":
                     continue
                 if kind == "batch_reply":
-                    if msg[1] != idx:
+                    if msg[1] != b.index:
                         continue  # stale (or duplicated) reply from an earlier batch
                     payload = msg[2]
                     err = self._validate_payload(shard, payload)
@@ -1149,6 +745,8 @@ class ShardedMatchingService:
                         replies[shard.name] = payload
                         pending.pop(shard.name, None)
                 elif kind == "batch_error":
+                    if isinstance(msg[2], xp.ScalarEscapeError):
+                        raise msg[2]  # a kernel bug, not a shard fault
                     fault(shard, msg[2])
                 # anything else: a late control reply — ignore
             for shard in list(pending.values()):
@@ -1179,12 +777,7 @@ class ShardedMatchingService:
         if not isinstance(queries, dict):
             return ShardFaultError(shard.name, "torn IPC message: bad queries map")
         for name, entry in queries.items():
-            if not isinstance(entry, dict) or not {
-                "neg",
-                "pos",
-                "error",
-                "degraded",
-            } <= set(entry):
+            if not isinstance(entry, dict) or not InProcessExecutor.OUTCOME.keys() <= entry.keys():
                 return ShardFaultError(
                     shard.name, f"torn IPC message: bad entry for query {name!r}"
                 )
@@ -1194,191 +787,118 @@ class ShardedMatchingService:
             return ShardFaultError(shard.name, "torn IPC message: missing launch_wall")
         return None
 
-    def _shard_fault(
-        self, shard, batch_index, err, health, shard_health, failed, row_errors
-    ) -> None:
+    def _shard_fault(self, b, shard: _Shard, err: BaseException) -> None:
         """Supervisor response to a detected worker failure: quarantine
         the shard for this batch, kill the worker, and attempt bounded
         respawn + re-bootstrap; exhaustion latches (optionally degrading
         the shard's queries to in-process execution)."""
-        shard_health[shard.name] = HEALTH_QUARANTINED
+        self._health[shard.name] = HEALTH_QUARANTINED
         reason = f"{type(err).__name__}: {err}"
-        for name in shard.queries:
-            health[name] = HEALTH_QUARANTINED
-            failed.add(name)
-            row_errors[name] = reason
-        self.shard_breaker.trip(shard.name, batch_index, err)
+        for name in self.names_on(shard):
+            self.svc._quarantine(b, name, reason)
+        self.breaker.trip(shard.name, b.index, err)
         self._kill_worker(shard)
-        self._respawn_or_latch(shard, batch_index)
-
-    def _respawn_or_latch(self, shard: _Shard, batch_index: int) -> None:
-        while self.shard_breaker.retry_due(shard.name, batch_index):
+        while self.breaker.retry_due(shard.name, b.index):
             try:
-                if self.faults is not None:
-                    self.faults.fire("shard.respawn", query=shard.name)
-                boot = self._spawn_worker(shard, respawn=True)
+                if self.svc.store.faults is not None:
+                    self.svc.store.faults.fire("shard.respawn", query=shard.name)
+                boot = self._spawn_worker(shard)
             except Exception as err:  # noqa: BLE001 - isolation boundary
-                self.shard_breaker.note_retry_failure(shard.name, batch_index, err)
+                self.breaker.note_retry_failure(shard.name, b.index, err)
                 self._kill_worker(shard)
             else:
                 for name, initial in boot.items():
-                    if name not in self._queries:
-                        continue
-                    state = self._queries[name]
-                    state.initial = initial
-                    state.collector = MatchCollector()
-                    self.breaker.drop(name)
-                self.shard_breaker.mark_recovered(shard.name, batch_index)
+                    if name in self.queries:
+                        self._reanchor(name, initial)
+                        self.svc.breaker.drop(name)
+                self.breaker.mark_recovered(shard.name, b.index)
                 return
         # respawn retries exhausted: the shard breaker is latched
-        if self.shard_policy.degrade_to_inprocess:
-            self._degrade_shard(shard, batch_index)
+        if self.policy.degrade_to_inprocess:
+            self._degrade(shard, b.index)
 
-    def _degrade_shard(self, shard: _Shard, batch_index: int) -> None:
-        """Adopt a latched shard's queries into the parent process at
-        the current committed boundary."""
-        shard.inproc = True
-        shard.runtimes = {}
-        for name in shard.queries:
-            state = self._queries[name]
+    def _degrade(self, shard: _Shard, batch_index: int) -> None:
+        """Move a latched shard's queries into the parent's in-process
+        executor, bootstrapped at the current committed boundary."""
+        svc = self.svc
+        for name in self.names_on(shard):
+            state = self.queries[name]
             try:
-                runtime = QueryRuntime(
-                    state.query,
-                    self.store,
-                    self.params,
-                    state.config,
-                    name=name,
-                    collector=None,
+                svc._hosts[name] = svc.local.register(
+                    svc, name, state.query, state.config, True
                 )
-                initial = runtime.bootstrap()
             except Exception as err:  # noqa: BLE001 - isolation boundary
-                self.breaker.trip(name, batch_index, err)
+                svc.breaker.trip(name, batch_index, err)
                 continue
-            shard.runtimes[name] = runtime
-            state.initial = initial
-            state.collector = MatchCollector()
-            self.breaker.drop(name)
-        self.shard_breaker.latch_degraded(shard.name)
+            svc.breaker.drop(name)
+        self.breaker.latch_degraded(shard.name)
 
-    # -- shared helpers (mirroring MatchingService) --------------------
-    def _guarded_store(self, call):
-        last: BaseException | None = None
-        for _ in range(self.policy.store_retries + 1):
-            try:
-                return call(), None
-            except (UpdateError, GraphError):
-                raise
-            except Exception as err:  # noqa: BLE001 - isolation boundary
-                last = err
-        return None, last
 
-    def _guarded_inproc_launch(self, name, edges, batch_index, health, failed):
-        shard = self._shard_by_name(self._queries[name].shard)
-        runtime = shard.runtimes[name]
+class ShardedMatchingService(MatchingService):
+    """N queries over one dynamic graph, partitioned across supervised
+    worker processes: :class:`MatchingService`'s transaction over a
+    :class:`WorkerPool` plus the parent's in-process executor (which
+    hosts the queries of degraded shards)."""
+
+    _report_cls = ShardedBatchReport
+
+    def __init__(
+        self,
+        graph: LabeledGraph | None = None,
+        *,
+        shard_policy: ShardPolicy | None = None,
+        **kwargs,
+    ) -> None:
+        super().__init__(graph, **kwargs)  # MatchingService's keyword arguments
+        self.shard_policy = shard_policy if shard_policy is not None else ShardPolicy()
+        self.pool = WorkerPool(self, self.shard_policy)
+        self._executors = [self.pool, self.local]
+
+    def __del__(self) -> None:  # pragma: no cover - GC ordering dependent
         try:
-            return runtime.launch(edges)
-        except Exception as err:  # noqa: BLE001 - isolation boundary
-            if self.policy.degrade_to_scalar and runtime.config.vectorized:
-                try:
-                    out = runtime.launch(edges, degraded=True)
-                except Exception as err2:  # noqa: BLE001
-                    err = err2
-                else:
-                    health[name] = HEALTH_DEGRADED
-                    self.breaker.note_degraded(name)
-                    return out
-            self._trip(name, batch_index, err, health, failed)
-            return None
+            self.close()
+        except Exception:  # noqa: BLE001
+            pass
 
-    def _trip(self, name, batch_index, err, health, failed):
-        self.breaker.trip(name, batch_index, err)
-        health[name] = HEALTH_QUARANTINED
-        failed.add(name)
+    @property
+    def _handle(self):
+        """The live published snapshot."""
+        return self.pool.handle
 
-    def _assemble_result(self, outputs, commit: StoreCommit) -> BatchResult:
-        """Identical assembly to ``MatchingService._assemble_result`` —
-        the byte-identity contract for healthy shards depends on it."""
-        neg_out, pos_out = outputs
-        result = BatchResult()
-        result.gpma_stats = commit.gpma_stats
-        result.reencoded_vertices = len(commit.changed_vertices)
-        result.transfer_words = commit.transfer_words
-        result.kernel_stats.transfer_cycles += commit.transfer_cycles
-        if neg_out is not None:
-            result.negatives = set(neg_out.matches)
-            result.kernel_stats.merge(neg_out.stats)
-            result.aborted |= neg_out.aborted
-        if pos_out is not None:
-            result.positives = set(pos_out.matches)
-            result.kernel_stats.merge(pos_out.stats)
-            result.aborted |= pos_out.aborted
-        return result
+    def adopt_runtime(self, runtime, name=None) -> str:
+        raise ServiceError("a sharded service places its own runtimes; use register_query")
 
-    def _dropped_batch_report(
-        self, batch: UpdateBatch, stage: str, err: BaseException, rolled_back: bool = False
-    ) -> ShardedBatchReport:
-        report = ShardedBatchReport(
-            batch_size=len(batch),
-            stages=self.stage_plan(),
-            aborted=True,
-            rolled_back=rolled_back,
-            failure=f"{stage}: {type(err).__name__}: {err}",
-        )
-        for name in self._queries:
-            state = self.breaker.health(name)
-            report.health[name] = state
-            report.queries[name] = QueryBatchReport(
-                name=name,
-                result=BatchResult(),
-                health=state,
-                error=self.breaker.record(name).last_error,
-            )
-        report.shard_health = {
-            s.name: self.shard_breaker.health(s.name) for s in self._shards
-        }
-        report.stage_seconds = {stage_name: 0.0 for stage_name, _ in report.stages}
-        self.breaker.settle()
-        self.shard_breaker.settle()
-        self.batches_processed += 1
-        return report
+    def unregister_query(self, name: str, *, force: bool = False) -> None:
+        super().unregister_query(name, force=force)
+        del self.pool.queries[name]
 
-    def _price_stages(
-        self, report: ShardedBatchReport, commit: StoreCommit
-    ) -> dict[str, float]:
-        """Same op counts as ``MatchingService._price_stages``, with the
-        per-query candidate-table refresh split out per shard: that work
-        runs inside each worker's ``observe_commit`` on the worker
-        process's own core, so it gets its own ``refresh:<shard>`` stage
-        on that shard's CPU resource. The shared encode pass stays in
-        ``preprocess`` on the parent CPU; summed over all stages the
-        seconds equal the single-process pricing exactly."""
-        cm = self.cost_model
-        if commit.is_noop:
-            return {stage: 0.0 for stage, _ in report.stages}
-        changed = max(len(commit.changed_vertices), 1)
-        n_matches = report.total_positives + report.total_negatives
-        stage_seconds = {
-            "preprocess": cm.cpu_seconds(ENCODE_OPS_PER_VERTEX * changed),
-            "transfer": cm.gpu_seconds(commit.transfer_cycles),
-            "update": cm.gpu_seconds(commit.gpma_stats.total_cycles),
-            "postprocess": cm.cpu_seconds(POSTPROCESS_OPS_PER_MATCH * max(n_matches, 1)),
-        }
-        for shard in self._shards:
-            if shard.queries:
-                stage_seconds[f"refresh:{shard.name}"] = cm.cpu_seconds(
-                    TABLE_OPS_PER_ROW * changed * len(shard.queries)
-                )
-        if not self._queries:  # match single-process max(n, 1) floor
-            stage_seconds["preprocess"] += cm.cpu_seconds(TABLE_OPS_PER_ROW * changed)
-        for name, qrep in report.queries.items():
-            stage_seconds[f"kernel:{name}"] = qrep.kernel_seconds
-        return stage_seconds
+    # -- shard reads ---------------------------------------------------
+    def shard_health(self) -> dict[str, str]:
+        return {s.name: self.pool.breaker.health(s.name) for s in self.pool.shards}
 
-    # ------------------------------------------------------------------
+    def shard_of(self, name: str) -> str:
+        return self.pool.queries[name].shard.name
+
+    # -- pricing -------------------------------------------------------
+    def _refresh_groups(self) -> list[tuple[str, str, int]]:
+        """One candidate-table refresh stage per shard on its own CPU:
+        the refresh runs inside each worker's ``observe_commit``, on
+        that worker process's core (a degraded shard's on the parent's
+        ``cpu``)."""
+        groups = []
+        for shard in self.pool.shards:
+            n = len(self.pool.names_on(shard))
+            if n:
+                cpu = "cpu" if self.pool.degraded(shard) else f"cpu:{shard.index}"
+                groups.append((f"refresh:{shard.name}", cpu, n))
+        return groups
+
+    def _kernel_resource(self, name: str) -> str:
+        shard = self.pool.queries[name].shard
+        return "gpu" if self.pool.degraded(shard) else f"gpu:{shard.index}"
+
     @staticmethod
-    def _grouped_stages(
-        stages: "list[tuple[str, str]]",
-    ) -> "list[tuple[str, str] | list[tuple[str, str]]]":
+    def _pipeline_stages(stages: list[tuple[str, str]]) -> list:
         """Fold a batch's per-shard refresh stages and kernel stages
         into fork-join groups so the pipeline model overlaps distinct
         shards' ``cpu:<k>``/``gpu:<k>`` resources; same-shard stages
@@ -1403,18 +923,3 @@ class ShardedMatchingService:
             + ([kernels] if kernels else [])
             + post
         )
-
-    def process_stream(
-        self, stream: UpdateStream
-    ) -> tuple[list[ShardedBatchReport], PipelineReport]:
-        """Process a whole stream and schedule it on the pipeline model,
-        with each batch's kernel stages forming one parallel group over
-        the per-shard GPU resources — the modeled view of the tier's
-        multi-process overlap."""
-        reports = [self.process_batch(batch) for batch in stream]
-        model = PipelineModel(self.stage_plan())
-        pipeline = model.schedule(
-            [r.stage_seconds for r in reports],
-            batch_stages=[self._grouped_stages(r.stages) for r in reports],
-        )
-        return reports, pipeline

@@ -231,6 +231,29 @@ class TestMatchCollector:
         assert c.total_negatives == 1
         assert c.batches == 1
 
+    def test_sliding_window_churn_stays_bounded(self):
+        """A long stationary churn: each period one match is born and
+        the one born ``window`` periods earlier dies (the first periods
+        kill the initial-state window). Matches back at net 0 are
+        evicted, so the collector ends holding exactly |live| + |dead|
+        entries instead of every match the stream ever touched."""
+        window, periods = 8, 5000
+        c = MatchCollector()
+        for t in range(periods):
+            c.consume(
+                BatchResult(positives={(t, t + 1)}, negatives={(t - window, t - window + 1)})
+            )
+            assert c.n_entries == len(c.live_matches()) + len(c.dead_matches())
+        live, dead = c.live_matches(), c.dead_matches()
+        assert live == {(t, t + 1) for t in range(periods - window, periods)}
+        assert dead == {(t, t + 1) for t in range(-window, 0)}
+        assert c.n_entries == 2 * window
+        assert c.net_change() == 0
+        initial = dead | {(-100, -99)}
+        assert c.apply_to(initial) == live | {(-100, -99)}
+        with pytest.raises(MatchingError):  # a double birth is still caught
+            c.consume(BatchResult(positives={(periods - 1, periods)}))
+
 
 class TestPostprocessDedupOrdering:
     """Postprocess sink semantics: signed dedup across batches and the

@@ -22,6 +22,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import xp
 from repro.errors import (
     InjectedFault,
     MatchingError,
@@ -34,11 +35,13 @@ from repro.graph import LabeledGraph
 from repro.graph.generators import attach_labels, power_law_graph
 from repro.graph.updates import apply_batch, make_batch
 from repro.gpu import DeviceParams
-from repro.matching import find_matches
+from repro.matching import QueryRuntime, find_matches
 from repro.service import (
     DynamicGraphStore,
     MatchingService,
     ResiliencePolicy,
+    ShardedMatchingService,
+    ShardPolicy,
 )
 from repro.testing import FAULT_SITES, FaultPlan, FaultSpec
 
@@ -182,12 +185,34 @@ class TestRollbackProperty:
         assert store.graph == shadow
 
 
-def _service_pair(seed, *, faults=None, policy=None, n=22, n_batches=4):
-    """A (reference, subject) pair over identical graph/stream/queries."""
+@pytest.fixture(params=["single", "sharded"])
+def facade(request):
+    """Builds subject services of one facade: ``MatchingService``, or
+    ``ShardedMatchingService`` over 2 fork workers (closed at teardown)."""
+    built = []
+
+    def build(g, **kwargs):
+        if request.param == "sharded":
+            policy = ShardPolicy(n_workers=2, heartbeat_timeout_s=5.0, batch_deadline_s=30.0)
+            svc = ShardedMatchingService(g, params=PARAMS, shard_policy=policy, **kwargs)
+        else:
+            svc = MatchingService(g, params=PARAMS, **kwargs)
+        built.append(svc)
+        return svc
+
+    yield build
+    for svc in built:
+        svc.close()
+
+
+def _service_pair(seed, *, faults=None, policy=None, n=22, n_batches=4, build=None):
+    """A (reference, subject) pair over identical graph/stream/queries;
+    ``build`` makes the subject (default: a ``MatchingService``)."""
     g, batches = make_stream(seed, n=n, n_batches=n_batches)
     queries = {"q0": PAPER_Q, "q1": TRI_Q, "q2": PATH_Q}
     ref = MatchingService(g, params=PARAMS)
-    sub = MatchingService(g, params=PARAMS, faults=faults, policy=policy)
+    build = build or (lambda g, **kwargs: MatchingService(g, params=PARAMS, **kwargs))
+    sub = build(g, faults=faults, policy=policy)
     for name, q in queries.items():
         ref.register_query(q, name=name)
         sub.register_query(q, name=name)
@@ -281,12 +306,14 @@ class TestQuarantineLifecycle:
         for name in queries:
             assert sub.matches(name) == ref.matches(name)
 
-    def test_store_fault_retries_transparently(self):
+    def test_store_fault_retries_transparently(self, facade):
         """A one-shot commit fault rolls back and retries inside the
         same process_batch call: the caller sees a normal report and
         every query's results are byte-identical to fault-free."""
         _, batches, queries, ref, sub = _service_pair(
-            39, faults=FaultPlan((FaultSpec("store.commit.graph", 1, kind="runtime"),))
+            39,
+            faults=FaultPlan((FaultSpec("store.commit.graph", 1, kind="runtime"),)),
+            build=facade,
         )
         for batch in batches:
             ref_rep = ref.process_batch(batch)
@@ -296,7 +323,7 @@ class TestQuarantineLifecycle:
                 assert _result_key(rep.queries[name]) == _result_key(ref_rep.queries[name])
         assert len(sub.store.faults.fired) == 1
 
-    def test_store_retry_exhaustion_drops_batch_at_boundary(self):
+    def test_store_retry_exhaustion_drops_batch_at_boundary(self, facade):
         """Back-to-back commit faults beyond store_retries drop the
         batch: the report says so, the store sits at the pre-batch
         boundary, and the next batch proceeds for every query."""
@@ -305,7 +332,7 @@ class TestQuarantineLifecycle:
         )
         policy = ResiliencePolicy(store_retries=1)
         g, batches, queries, ref, sub = _service_pair(
-            41, faults=FaultPlan(specs), policy=policy
+            41, faults=FaultPlan(specs), policy=policy, build=facade
         )
         before = store_fingerprint(sub.store)
         rep = sub.process_batch(batches[0])
@@ -324,15 +351,31 @@ class TestQuarantineLifecycle:
         for name in queries:
             assert sub.matches(name) == find_matches(queries[name], shadow)
 
-    def test_invalid_batch_still_raises(self):
+    def test_invalid_batch_still_raises(self, facade):
         """Caller misuse is not a fault: inserting an existing edge
         propagates UpdateError even under the isolation envelope."""
         g, _ = make_stream(43)
-        service = MatchingService(g, params=PARAMS)
+        service = facade(g)
         service.register_query(TRI_Q, name="q0")
         u, v = next(iter(g.edges()))
         with pytest.raises(UpdateError):
             service.process_batch(make_batch([("+", u, v)]))
+
+    def test_scalar_escape_propagates(self, facade, monkeypatch):
+        """A strict-backend escape is a kernel bug, not a fault: it
+        reaches the caller — from a worker process too — instead of
+        quarantining the query or rerunning it degraded. The patch is in
+        place before the workers fork, so they inherit it."""
+
+        def escaping_launch(self, edges, *, degraded=False):
+            raise xp.ScalarEscapeError("implicit host escape via .item()")
+
+        monkeypatch.setattr(QueryRuntime, "launch", escaping_launch)
+        g, batches = make_stream(51)
+        service = facade(g, policy=ResiliencePolicy(degrade_to_scalar=True))
+        service.register_query(TRI_Q, name="q0")
+        with pytest.raises(xp.ScalarEscapeError):
+            service.process_batch(batches[0])
 
 
 class TestObserveOrdering:
